@@ -19,10 +19,11 @@ therefore outside the deterministic core:
     drives stays on the virtual clock.
 ``repro.exec.queue``
     The engine's work-stealing pool stamps each cell with its wall
-    duration (``timed_call``), its CPU/RSS resource profile
-    (``profiled_call``: ``os.times`` / ``resource.getrusage``) and
-    worker heartbeat timestamps — progress reporting, event-stream
-    metadata and the ops plane's liveness ledger.  None of it ever
+    duration and CPU/RSS resource profile (``profiled_call``:
+    ``perf_counter`` / ``os.times`` / ``resource.getrusage``) and
+    keeps worker heartbeat timestamps and their age — progress
+    reporting, event-stream metadata and the ops plane's liveness
+    ledger.  None of it ever
     feeds back into any result — the event-stream golden test
     normalises all of it to zero precisely because it is
     presentation-only.

@@ -11,7 +11,11 @@ on-disk :class:`~repro.exec.cache.ResultCache`, and — when a run
 directory is configured — journals every completion durably so a
 killed sweep resumes with only unfinished cells re-executed.  The
 whole run is narrated as a typed event stream
-(:mod:`repro.exec.events`) consumed by pluggable sinks.
+(:mod:`repro.exec.events`) consumed by pluggable sinks, and folded once
+into a :class:`~repro.exec.state.RunState` that every status view
+renders (``engine.status``, ``<run-dir>/status.json``, and the
+``repro.ops`` plane layered above this package, which ``repro.exec``
+never imports).
 
 Guarantees (enforced by ``tests/test_exec_equivalence.py`` and
 ``tests/test_exec_crash_resume.py``):
@@ -49,19 +53,11 @@ from repro.exec.events import (
     Interrupted,
     JsonlSink,
     PhaseStarted,
-    TelemetrySink,
-    TTYSink,
     read_event_log,
     validate_events,
 )
 from repro.exec.hashing import canonical, code_salt, fingerprint
-from repro.exec.progress import (
-    CellReport,
-    EtaTracker,
-    ProgressHook,
-    ProgressPrinter,
-    StagedProgress,
-)
+from repro.exec.progress import EtaTracker, ProgressPrinter
 from repro.exec.queue import (
     WorkerCrash,
     WorkerHealth,
@@ -74,11 +70,17 @@ from repro.exec.runner import (
     aggregate_telemetry,
     resolve_jobs,
 )
+from repro.exec.state import (
+    RunState,
+    fold,
+    fold_records,
+    read_status,
+    status_document,
+)
 
 __all__ = [
     "Cell",
     "CellFinished",
-    "CellReport",
     "CellScheduled",
     "CacheEntry",
     "CacheStats",
@@ -95,16 +97,13 @@ __all__ = [
     "Interrupted",
     "JsonlSink",
     "PhaseStarted",
-    "ProgressHook",
     "ProgressPrinter",
     "ResultCache",
     "RunDir",
     "RunDirError",
     "RunManifest",
-    "StagedProgress",
+    "RunState",
     "SweepRunner",
-    "TTYSink",
-    "TelemetrySink",
     "WorkStealingPool",
     "WorkerCrash",
     "WorkerHealth",
@@ -115,9 +114,13 @@ __all__ = [
     "engine_cell",
     "execute_cell",
     "fingerprint",
+    "fold",
+    "fold_records",
     "profiled_call",
     "read_event_log",
+    "read_status",
     "resolve_jobs",
     "resolve_run_root",
+    "status_document",
     "validate_events",
 ]

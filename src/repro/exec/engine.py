@@ -1,47 +1,44 @@
 """The long-lived experiment engine: phased, resumable, streaming.
 
-:class:`Engine` replaces the one-shot batch sweep loop.  Each call to
-:meth:`Engine.run` (one *sweep* — a flat figure sweep, one fleet
-epoch, one fuzz batch) is planned into four explicit phases:
+Each call to :meth:`Engine.run` (one *sweep* — a flat figure sweep,
+one fleet epoch, one fuzz batch) runs four explicit phases:
 
 ``plan``
     Compute every cell's content-addressed cache key and the sweep's
     plan fingerprint; open (or attach to) the run directory when
     checkpointing is configured.
 ``probe``
-    Warm-path probe: satisfy cells from the run directory's checkpoint
-    journal (``resumed``) or the result cache (``hit``) before any
-    process is forked.
+    Satisfy cells from the run directory's checkpoint journal
+    (``resumed``) or the result cache (``hit``) before any process is
+    forked.
 ``execute``
     Fan the remaining cells out through the work-stealing queue
     (:mod:`repro.exec.queue`); journal every completion durably before
     reporting its checkpoint.
 ``fold``
-    Assemble results back into cell order and emit the terminal
-    ``Finished`` event.
+    Assemble results back into cell order and emit ``Finished``.
 
-The engine *narrates* all of this as a typed event stream
-(:mod:`repro.exec.events`) consumed by pluggable sinks — TTY progress,
-a JSONL event log, telemetry counters.  A killed run resumes from its
-journal with only unfinished cells re-executed; because run ids are
-content-addressed, re-running the same sweep against the same run root
-resumes automatically, and ``--resume <run-id>`` pins a directory
-explicitly.
+The engine narrates all of this as a typed event stream
+(:mod:`repro.exec.events`) dispatched to pluggable sinks, and folds
+every event into ``engine.state`` (:mod:`repro.exec.state`), which the
+status views render.  A killed run resumes from its journal with only
+unfinished cells re-executed; run ids are content-addressed, so
+re-running the same sweep against the same run root resumes
+automatically, and ``--resume <run-id>`` pins a directory.  One engine
+may run many sweeps (the fleet's epoch barrier is a sequence of
+``run()`` calls): the journal is keyed by cache key, not position, so
+multi-sweep runs resume just as precisely.
 
-One engine may run many sweeps (the fleet's bulk-synchronous epoch
-barrier is exactly a sequence of ``run()`` calls — each barrier is a
-phase boundary): the checkpoint journal is keyed by cache key, not by
-position, so multi-sweep runs resume just as precisely.
-
-Wall-clock note: SIM001 allowlists this module for the same reason it
-allowlists the queue — per-cell wall timing is progress metadata,
-never an input to any result.
+Wall-clock note: the one wall-clock read here stamps each event as it
+is folded into the run state; it carries a simlint waiver naming its
+pinning test, and no result ever reads it.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import time
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
@@ -58,10 +55,8 @@ from repro.exec.events import (
     Interrupted,
     JsonlSink,
     PhaseStarted,
-    TTYSink,
 )
 from repro.exec.hashing import code_salt, fingerprint
-from repro.exec.progress import ProgressHook
 from repro.exec.queue import (
     Profile,
     Task,
@@ -71,6 +66,7 @@ from repro.exec.queue import (
     fork_available,
     profiled_call,
 )
+from repro.exec.state import EngineStatus, RunState, StatusWriter, fold
 
 ENV_JOBS = "REPRO_JOBS"
 #: fault injection for the crash-consistency suite and the CI
@@ -79,42 +75,32 @@ ENV_JOBS = "REPRO_JOBS"
 ENV_KILL_AFTER = "REPRO_ENGINE_KILL_AFTER"
 
 
-def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Explicit argument > ``REPRO_JOBS`` > serial."""
-    if jobs is None:
-        # Worker-count selection: jobs=N ≡ jobs=1 is the engine's core
-        # pinned guarantee (test_exec_equivalence), so parallelism is a
-        # throughput knob with no reach into results.
-        env = os.environ.get(ENV_JOBS, "").strip()  # simlint: disable=SIM008
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{ENV_JOBS} must be an integer, got {env!r}"
-                ) from exc
-    if jobs is None:
-        return 1
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return jobs
+def _env_int(name: str) -> Optional[int]:
+    """An integer environment knob; None when unset or blank.
 
-
-def _resolve_kill_after(kill_after: Optional[int]) -> Optional[int]:
-    if kill_after is not None:
-        return kill_after
-    # Crash-injection knob for the resume tests: it kills the process
-    # mid-run, it cannot change what a completed run computes (the
-    # resumed fold is pinned byte-identical by test_exec_crash_resume).
-    env = os.environ.get(ENV_KILL_AFTER, "").strip()  # simlint: disable=SIM008
+    Both knobs read here are pinned result-neutral: ``REPRO_JOBS`` by
+    the jobs=N ≡ jobs=1 equivalence suite (test_exec_equivalence) and
+    ``REPRO_ENGINE_KILL_AFTER``, which kills the process mid-run, by
+    the byte-identical resumed fold (test_exec_crash_resume).
+    """
+    env = os.environ.get(name, "").strip()  # simlint: disable=SIM008
     if not env:
         return None
     try:
         return int(env)
     except ValueError as exc:
-        raise ValueError(
-            f"{ENV_KILL_AFTER} must be an integer, got {env!r}"
-        ) from exc
+        raise ValueError(f"{name} must be an integer, got {env!r}") from exc
+
+
+def resolve_jobs(jobs: Optional[int] = None) -> int:
+    """Explicit argument > ``REPRO_JOBS`` > serial."""
+    if jobs is None:
+        jobs = _env_int(ENV_JOBS)
+    if jobs is None:
+        return 1
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return jobs
 
 
 class Engine:
@@ -145,7 +131,10 @@ class Engine:
                 "REPRO_RUN_DIR)"
             )
         self._sinks: list[EventSink] = list(sinks)
-        self.kill_after = _resolve_kill_after(kill_after)
+        self.kill_after = (
+            kill_after if kill_after is not None
+            else _env_int(ENV_KILL_AFTER)
+        )
         #: optional queue-order permutation (tests exercise steal
         #: interleavings with it); results always fold by index
         self.schedule = list(schedule) if schedule is not None else None
@@ -153,8 +142,6 @@ class Engine:
         self._journal_keys: set[str] = set()
         self._seq = 0
         self._completed = 0
-        #: cumulative outcome tallies over the engine lifetime
-        self.stats = {"ran": 0, "hit": 0, "resumed": 0, "sweeps": 0}
         self.last_results: list[Any] = []
         #: worker liveness ledger fed by queue heartbeats (read by the
         #: ops plane, never by the engine's own control flow)
@@ -167,12 +154,10 @@ class Engine:
         #: cells already journalled when the run directory attached
         #: (the resume lineage /status reports)
         self.resumed_at_open = 0
-        # Live status fold for /status, <run-dir>/status.json and the
-        # flight recorder.  Imported lazily: repro.exec must keep no
-        # import-time dependency on the ops layer above it.
-        from repro.ops.status import RunStatus
-
-        self.status = RunStatus(engine=self)
+        #: the fold of every event this engine emitted (engine-lifetime
+        #: tallies, phase, per-stage counts) and its /status rendering
+        self.state = RunState()
+        self.status = EngineStatus(self)
 
     # ------------------------------------------------------------------
     @property
@@ -185,22 +170,20 @@ class Engine:
         self._sinks.append(sink)
 
     def expect_cells(self, total: Optional[int]) -> None:
-        """Hint the whole-run cell total for /status ETAs.
-
-        Multi-sweep drivers (the fleet's epoch loop, a fuzz campaign)
-        know roughly how many cells the *entire* run will take; without
-        the hint the ops plane can only project over the cells planned
-        so far.  Observability metadata only — nothing in execution
-        reads it.
-        """
+        """Hint the whole-run cell total of a multi-sweep driver (the
+        fleet's epoch loop, a fuzz campaign) for /status ETAs; nothing
+        in execution reads it."""
         self.cells_hint = total
 
     def _event(self, cls: Callable[..., Event], **fields: Any) -> Event:
         event = cls(seq=self._seq, **fields)
         self._seq += 1
-        # the status fold observes every event at the source, so /status
-        # is live even for callers that iterate stream() directly
-        self.status.observe(event)
+        # folded at the source, so the state is live even for callers
+        # that iterate stream() directly; the stamp is host-side
+        # provenance for /status, never read by any result (pinned by
+        # tests/test_ops_plane.py::TestObserverEffect)
+        now = time.time()  # simlint: disable=SIM001,SIM008
+        self.state = fold(self.state, event, now)
         return event
 
     # ------------------------------------------------------------------
@@ -224,9 +207,7 @@ class Engine:
         self._sinks.append(JsonlSink(self.run_dir.events_path, append=True))
         # ... and a live status.json, rewritten atomically on every
         # checkpoint so a detached run stays inspectable without the
-        # HTTP ops plane (lazy import: exec stays below repro.ops)
-        from repro.ops.status import StatusWriter
-
+        # HTTP ops plane
         self._sinks.append(
             StatusWriter(self.run_dir.path / "status.json", self.status)
         )
@@ -260,6 +241,8 @@ class Engine:
         if self.run_root is not None:
             assert self.plan_fingerprint is not None
             self._attach_run_dir(self.plan_fingerprint)
+        # the sweep's Finished counts are the state's growth from here
+        before = self.state
         yield self._event(
             PhaseStarted, phase="plan", stage=stage, cells=total
         )
@@ -269,55 +252,30 @@ class Engine:
             PhaseStarted, phase="probe", stage=stage, cells=total
         )
         results: list[Any] = [None] * total
-        counts = {"ran": 0, "hit": 0, "resumed": 0}
         pending: list[tuple[int, Cell, Optional[str]]] = []
         for index, (cell, key) in enumerate(zip(cells, keys)):
             outcome = None
-            checkpointed = False
             if key is not None and self.run_dir is not None and (
                 key in self._journal_keys
             ):
                 entry = self.run_dir.results.get(key)
                 if entry.hit:
-                    results[index] = entry.value
                     outcome = "resumed"
             if outcome is None and key is not None and self.cache is not None:
                 entry = self.cache.get(key)
                 if entry.hit:
-                    results[index] = entry.value
                     outcome = "hit"
-                    # fold the hit into the run directory too, so a
-                    # later resume is whole without the shared cache
-                    if self.run_dir is not None and (
-                        key not in self._journal_keys
-                    ):
-                        self._checkpoint(
-                            key, index, cell, stage, 0.0, entry.value
-                        )
-                        checkpointed = True
             if outcome is None:
                 pending.append((index, cell, key))
                 continue
-            counts[outcome] += 1
-            yield self._event(
-                CellFinished,
-                index=index,
-                total=total,
-                label=cell.display,
-                outcome=outcome,
-                seconds=0.0,
-                key=key,
-                stage=stage,
+            results[index] = entry.value
+            # fold a hit into the run directory too, so a later resume
+            # is whole without the shared cache
+            yield from self._finish(
+                index, cell, key, stage, total, outcome, entry.value,
+                journal=outcome == "hit" and self.run_dir is not None
+                and key not in self._journal_keys,
             )
-            if checkpointed:
-                assert key is not None
-                yield self._event(
-                    CheckpointWritten,
-                    key=key,
-                    completed=self._completed,
-                    total=total,
-                    stage=stage,
-                )
 
         # ---- execute ----------------------------------------------
         yield self._event(
@@ -355,55 +313,25 @@ class Engine:
                 if key is not None and self.cache is not None:
                     self.cache.put(key, value)
                 results[index] = value
-                counts["ran"] += 1
-                profile = profile or {}
-                yield self._event(
-                    CellFinished,
-                    index=index,
-                    total=total,
-                    label=cell.display,
-                    outcome="ran",
-                    seconds=seconds,
-                    key=key,
-                    stage=stage,
-                    utime_s=profile.get("utime_s", 0.0),
-                    stime_s=profile.get("stime_s", 0.0),
-                    max_rss_kb=profile.get("max_rss_kb", 0.0),
+                journal = key is not None and self.run_dir is not None
+                yield from self._finish(
+                    index, cell, key, stage, total, "ran", value,
+                    journal=journal, seconds=seconds, profile=profile,
                 )
-                if key is not None and self.run_dir is not None:
-                    self._checkpoint(
-                        key, index, cell, stage, seconds, value,
-                        profile=profile,
-                    )
-                    yield self._event(
-                        CheckpointWritten,
-                        key=key,
-                        completed=self._completed,
-                        total=total,
-                        stage=stage,
-                    )
-                    # fault injection: the yield above has been
+                if journal:
+                    # fault injection: the checkpoint event has been
                     # dispatched to every sink by the time we resume,
                     # so the kill lands exactly on a cell boundary
                     # with the checkpoint durable
                     self._maybe_kill()
-        except KeyboardInterrupt:
+        except (KeyboardInterrupt, WorkerCrash) as exc:
             self._flush_for_interrupt()
+            crashed = isinstance(exc, WorkerCrash)
             yield self._event(
                 Interrupted,
                 completed=self._completed,
                 total=total,
-                reason="keyboard-interrupt",
-                stage=stage,
-            )
-            raise
-        except WorkerCrash:
-            self._flush_for_interrupt()
-            yield self._event(
-                Interrupted,
-                completed=self._completed,
-                total=total,
-                reason="worker-crash",
+                reason="worker-crash" if crashed else "keyboard-interrupt",
                 stage=stage,
             )
             raise
@@ -413,29 +341,20 @@ class Engine:
             PhaseStarted, phase="fold", stage=stage, cells=total
         )
         self.last_results = results
-        for outcome, count in counts.items():
-            self.stats[outcome] += count
-        self.stats["sweeps"] += 1
         yield self._event(
             Finished,
             cells=total,
-            ran=counts["ran"],
-            hits=counts["hit"],
-            resumed=counts["resumed"],
+            ran=self.state.ran - before.ran,
+            hits=self.state.hit - before.hit,
+            resumed=self.state.resumed - before.resumed,
             stage=stage,
         )
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        cells: Sequence[Cell],
-        stage: str = "",
-        progress: Optional[ProgressHook] = None,
-    ) -> list[Any]:
+    def run(self, cells: Sequence[Cell], stage: str = "") -> list[Any]:
         """Execute a sweep, dispatching events to every sink."""
-        extra: list[EventSink] = [TTYSink(progress)] if progress else []
         for event in self.stream(cells, stage=stage):
-            for sink in (*self._sinks, *extra):
+            for sink in self._sinks:
                 sink(event)
         return self.last_results
 
@@ -467,26 +386,34 @@ class Engine:
     # ------------------------------------------------------------------
     # durability
     # ------------------------------------------------------------------
-    def _checkpoint(
+    def _finish(
         self,
-        key: str,
         index: int,
         cell: Cell,
+        key: Optional[str],
         stage: str,
-        seconds: float,
+        total: int,
+        outcome: str,
         value: Any,
+        journal: bool,
+        seconds: float = 0.0,
         profile: Optional[Profile] = None,
-    ) -> None:
-        """Store the result, then journal it — durable in that order.
+    ) -> Iterator[Event]:
+        """Narrate a finished cell; with ``journal``, checkpoint it.
 
-        The value lands in the run directory's result store *before*
-        the journal line that declares it complete, so a crash between
-        the two leaves an unreferenced store entry (harmless) rather
-        than a journalled cell with no result (which a resume would
-        have to re-execute anyway, via the store-miss fallback).
+        The result is stored *before* the journal line that declares it
+        complete, so a crash between the two leaves an unreferenced
+        store entry (harmless), never a journalled cell with no result.
         """
-        assert self.run_dir is not None
         profile = profile or {}
+        yield self._event(
+            CellFinished, index=index, total=total, label=cell.display,
+            outcome=outcome, seconds=seconds, key=key, stage=stage,
+            **profile,
+        )
+        if not journal:
+            return
+        assert key is not None and self.run_dir is not None
         self.run_dir.results.put(key, value)
         self.run_dir.record_cell(
             key, index=index, label=cell.display, stage=stage,
@@ -497,6 +424,10 @@ class Engine:
         )
         self._journal_keys.add(key)
         self._completed += 1
+        yield self._event(
+            CheckpointWritten, key=key, completed=self._completed,
+            total=total, stage=stage,
+        )
 
     def _flush_for_interrupt(self) -> None:
         """Interrupt hygiene: journal durable, no stranded temp files."""
@@ -521,9 +452,7 @@ class Engine:
     def __repr__(self) -> str:
         cached = "on" if self.cache is not None else "off"
         run_id = self.run_dir.run_id if self.run_dir is not None else None
-        return (
-            f"<Engine jobs={self.jobs} cache={cached} run={run_id}>"
-        )
+        return f"<Engine jobs={self.jobs} cache={cached} run={run_id}>"
 
 
 __all__ = [

@@ -8,15 +8,11 @@ serialises to one JSON object with a **stable field order** (``kind``
 first, then ``seq``, then declared fields), so an event log is both
 grep-able and byte-stable for golden snapshots.
 
-Consumers are *sinks*: any callable taking one event.  The built-in
-sinks cover the three consumption paths:
-
-* :class:`TTYSink` — adapts ``CellFinished`` events onto the existing
-  :class:`~repro.exec.progress.ProgressHook` per-cell lines;
-* :class:`JsonlSink` — appends one JSON line per event (the run
-  directory's ``events.jsonl``, or ``--events-out``);
-* :class:`TelemetrySink` — folds event counts into a
-  :class:`repro.telemetry.Telemetry` registry for exposition.
+Consumers are *sinks*: any callable taking one event.
+:class:`JsonlSink` appends one JSON line per event (the run
+directory's ``events.jsonl``, or ``--events-out``); the TTY printer
+(:class:`~repro.exec.progress.ProgressPrinter`) and the run-state fold
+(:mod:`repro.exec.state`) read the same typed events.
 
 :func:`validate_events` is the executable contract: tests and the CI
 ``engine-smoke`` job both call it to assert a log is a well-formed,
@@ -32,7 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     IO,
-    TYPE_CHECKING,
     Any,
     Callable,
     Iterator,
@@ -41,11 +36,6 @@ from typing import (
     Sequence,
     Union,
 )
-
-from repro.exec.progress import CellReport, ProgressHook
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.telemetry import Telemetry
 
 #: phases one engine sweep always runs, in order (DESIGN.md §14)
 PHASE_ORDER = ("plan", "probe", "execute", "fold")
@@ -232,43 +222,6 @@ class JsonlSink:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-
-class TTYSink:
-    """Adapt ``CellFinished`` events onto a per-cell progress hook."""
-
-    def __init__(self, hook: ProgressHook) -> None:
-        self.hook = hook
-
-    def __call__(self, event: Event) -> None:
-        if not isinstance(event, CellFinished):
-            return
-        self.hook(CellReport(
-            index=event.index,
-            total=event.total,
-            label=event.label,
-            outcome=event.outcome,
-            seconds=event.seconds,
-            key=event.key,
-            stage=event.stage,
-        ))
-
-
-class TelemetrySink:
-    """Fold the stream into engine_* counters for exposition."""
-
-    def __init__(self, telemetry: "Telemetry") -> None:
-        self.telemetry = telemetry
-
-    def __call__(self, event: Event) -> None:
-        if not self.telemetry.enabled:
-            return
-        registry = self.telemetry.registry
-        registry.counter("engine_events", kind=event.kind).inc()
-        if isinstance(event, CellFinished):
-            registry.counter("engine_cells", outcome=event.outcome).inc()
-        elif isinstance(event, CheckpointWritten):
-            registry.gauge("engine_checkpointed").set(float(event.completed))
 
 
 # ----------------------------------------------------------------------
@@ -545,8 +498,6 @@ __all__ = [
     "JsonlSink",
     "PHASE_ORDER",
     "PhaseStarted",
-    "TTYSink",
-    "TelemetrySink",
     "event_from_json",
     "main",
     "normalize_events",

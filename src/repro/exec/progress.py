@@ -1,18 +1,20 @@
-"""Per-cell progress reporting for long sweeps.
+"""Per-cell progress: the TTY printer and the ETA arithmetic.
 
-Flat sweeps (one list of cells) report ``[i/total]`` lines.  Nested
-sweeps — the fleet simulator runs *epochs*, each of which shards a
-fleet of hosts over the pool — wrap their hook in
-:class:`StagedProgress` so every line carries the enclosing stage
-(``[weekday:aql_aware epoch 2/3] [12/64] ran host07``) instead of a
-meaningless flat cell count that resets every epoch.
+:class:`ProgressPrinter` is a plain event sink that prints one line per
+``CellFinished``; nested sweeps (the fleet runs *epochs*, each of which
+shards hosts over the pool) pass ``stage=`` to the sweep, and every
+line carries it (``[weekday:aql_aware epoch 2/3] [12/64] ran host07``)
+instead of a flat cell count that resets every epoch.
+:class:`EtaTracker` is the remaining-time projection
+:mod:`repro.exec.state` renders into ``/status``.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, TextIO
+from typing import Optional, TextIO
+
+from repro.exec.events import CellFinished, Event
 
 
 class EtaTracker:
@@ -32,9 +34,9 @@ class EtaTracker:
 
     __slots__ = ("ran", "ran_seconds")
 
-    def __init__(self) -> None:
-        self.ran = 0
-        self.ran_seconds = 0.0
+    def __init__(self, ran: int = 0, ran_seconds: float = 0.0) -> None:
+        self.ran = ran
+        self.ran_seconds = ran_seconds
 
     def note(self, outcome: str, seconds: float) -> None:
         """Fold one finished cell (the ``CellFinished`` fields)."""
@@ -63,84 +65,32 @@ class EtaTracker:
         return max(0.0, per_cell * remaining)
 
 
-@dataclass(frozen=True)
-class CellReport:
-    """Emitted once per cell, as soon as its result is known."""
-
-    index: int  # position in the sweep (0-based)
-    total: int
-    label: str
-    outcome: str  # "hit" | "ran"
-    seconds: float  # compute time (0.0 for cache hits)
-    key: Optional[str] = None  # cache key, when caching is active
-    #: enclosing stage for nested work (e.g. ``"epoch 2/3"``); empty
-    #: for flat sweeps
-    stage: str = ""
-
-
-#: signature of a progress hook
-ProgressHook = Callable[[CellReport], None]
-
-
 class ProgressPrinter:
-    """Default hook: one line per cell, timings included.
+    """Sink: one line per finished cell, timings included.
 
     Writes to stderr by default so experiment tables on stdout stay
     machine-comparable (parallel and serial runs print identical
-    stdout).
+    stdout).  Every other event kind is ignored.
     """
 
     def __init__(self, stream: Optional[TextIO] = None) -> None:
         self.stream = stream if stream is not None else sys.stderr
 
-    def __call__(self, report: CellReport) -> None:
-        width = len(str(report.total))
-        prefix = f"[{report.stage}] " if report.stage else ""
+    def __call__(self, event: Event) -> None:
+        if not isinstance(event, CellFinished):
+            return
+        width = len(str(event.total))
+        prefix = f"[{event.stage}] " if event.stage else ""
         print(
-            f"{prefix}[{report.index + 1:{width}d}/{report.total}] "
-            f"{report.outcome:<3s} {report.label} "
-            f"({report.seconds:.2f}s)",
+            f"{prefix}[{event.index + 1:{width}d}/{event.total}] "
+            f"{event.outcome:<3s} {event.label} "
+            f"({event.seconds:.2f}s)",
             file=self.stream,
             flush=True,
         )
 
 
-class StagedProgress:
-    """Label nested sweeps: one base hook, many per-stage sub-hooks.
-
-    A driver that runs several inner sweeps (the fleet's epoch loop)
-    creates one ``StagedProgress`` over the caller's hook and asks for
-    a per-stage hook before each inner sweep; every report the inner
-    sweep emits is re-emitted with :attr:`CellReport.stage` set.  The
-    aggregate cell count across stages is tracked in
-    :attr:`cells_reported` so drivers can summarise total work done.
-    """
-
-    def __init__(self, base: Optional[ProgressHook]) -> None:
-        self.base = base
-        self.cells_reported = 0
-
-    def stage(self, label: str) -> Optional[ProgressHook]:
-        """A hook that tags every report with ``label``.
-
-        Returns None when the base hook is None (quiet mode), so
-        callers can hand the result straight to a SweepRunner.
-        """
-        if self.base is None:
-            return None
-
-        def hook(report: CellReport) -> None:
-            self.cells_reported += 1
-            assert self.base is not None
-            self.base(replace(report, stage=label))
-
-        return hook
-
-
 __all__ = [
-    "CellReport",
     "EtaTracker",
-    "ProgressHook",
     "ProgressPrinter",
-    "StagedProgress",
 ]

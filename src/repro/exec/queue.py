@@ -18,8 +18,9 @@ tree: simlint's SIM007 flags any other ``multiprocessing`` /
 engine's checkpointing and event stream.
 
 Wall-clock note: per-cell ``perf_counter`` timing, the ``os.times`` /
-``resource.getrusage`` resource profiles and the heartbeat wall stamps
-here are progress/ops metadata only (SIM001 allowlists
+``resource.getrusage`` resource profiles, the heartbeat wall stamps
+and their age (the ``/metrics`` liveness gauge) are progress/ops
+metadata only (SIM001 allowlists
 ``repro.exec.queue``); none of it ever feeds a result.
 """
 
@@ -43,10 +44,6 @@ Task = tuple[int, Callable[..., Any], dict[str, Any]]
 #: and ops-plane metadata, never an input to any result
 Profile = dict[str, float]
 
-#: callback fired in the parent as each result arrives (completion
-#: order, not index order): (index, value, seconds)
-ResultCallback = Callable[[int, Any, float], None]
-
 
 class WorkerCrash(RuntimeError):
     """A pool worker died without delivering its result."""
@@ -56,25 +53,15 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def timed_call(
+def profiled_call(
     fn: Callable[..., Any], kwargs: Mapping[str, Any]
-) -> tuple[Any, float]:
-    """Run one cell on a private copy of its kwargs, timing it.
+) -> tuple[Any, float, Profile]:
+    """Run one cell on a private copy of its kwargs, timed and profiled.
 
     The deepcopy mirrors the isolation a forked worker gets for free:
     a policy object mutated by ``setup()`` never leaks back into the
     caller's cell, whose pristine state the cache key was computed
     from.  Module-level so it pickles across the fork.
-    """
-    start = time.perf_counter()
-    value = fn(**copy.deepcopy(dict(kwargs)))
-    return value, time.perf_counter() - start
-
-
-def profiled_call(
-    fn: Callable[..., Any], kwargs: Mapping[str, Any]
-) -> tuple[Any, float, Profile]:
-    """:func:`timed_call` plus a per-cell resource profile.
 
     utime/stime come from ``os.times()`` deltas around the call and
     peak RSS from ``resource.getrusage`` — observability metadata for
@@ -173,6 +160,16 @@ class WorkerHealth:
             "live": live,
             "dead": len(workers) - live,
         }
+
+    def last_beat_age(self) -> float:
+        """Seconds since the newest heartbeat; -1.0 before the first."""
+        with self._lock:
+            beats: list[float] = [
+                entry["last_beat_unix"]
+                for entry in self._workers.values()
+                if entry["last_beat_unix"] is not None
+            ]
+        return max(0.0, time.time() - max(beats)) if beats else -1.0
 
 
 def _worker(
@@ -318,20 +315,13 @@ class WorkStealingPool:
             for process in processes:
                 process.join(timeout=2.0)
 
-    def run(self, tasks: Sequence[Task], on_result: ResultCallback) -> None:
-        """Callback flavour of :meth:`iter_results` (profile dropped)."""
-        for index, value, seconds, _profile in self.iter_results(tasks):
-            on_result(index, value, seconds)
-
 
 __all__ = [
     "Profile",
-    "ResultCallback",
     "Task",
     "WorkStealingPool",
     "WorkerCrash",
     "WorkerHealth",
     "fork_available",
     "profiled_call",
-    "timed_call",
 ]

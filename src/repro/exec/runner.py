@@ -6,10 +6,11 @@ against (``run(cells)`` → results in cell order, ``jobs``/``cache``/
 :class:`~repro.exec.engine.Engine`: cells fan out through the
 work-stealing queue, completions journal to the run directory when one
 is configured, and the engine's event stream feeds the progress hook
-plus any extra sinks.  Because every simulation is seeded and
-deterministic (DESIGN.md §5/§7), serial, parallel, cache-replayed and
-*resumed* execution produce identical results — the equivalence tests
-in ``tests/test_exec_equivalence.py`` enforce all four legs.
+(``CellFinished`` events only) plus any extra sinks.  Because every
+simulation is seeded and deterministic (DESIGN.md §5/§7), serial,
+parallel, cache-replayed and *resumed* execution produce identical
+results — the equivalence tests in ``tests/test_exec_equivalence.py``
+enforce all four legs.
 
 Worker-count resolution: an explicit ``jobs`` argument wins, then the
 ``REPRO_JOBS`` environment variable, then 1 (serial).  ``jobs=1`` and
@@ -21,13 +22,12 @@ and hash seed and cost no re-import time.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.exec.cache import ResultCache
 from repro.exec.cells import Cell
 from repro.exec.engine import ENV_JOBS, ENV_KILL_AFTER, Engine, resolve_jobs
-from repro.exec.events import EventSink
-from repro.exec.progress import ProgressHook
+from repro.exec.events import CellFinished, Event, EventSink
 
 __all__ = [
     "SweepRunner",
@@ -73,7 +73,7 @@ class SweepRunner:
         self,
         jobs: Optional[int] = None,
         cache: Optional[ResultCache] = None,
-        progress: Optional[ProgressHook] = None,
+        progress: Optional[Callable[[CellFinished], None]] = None,
         salt: Optional[str] = None,
         run_root: Union[str, Path, None] = None,
         run_id: Optional[str] = None,
@@ -87,9 +87,13 @@ class SweepRunner:
             run_id=run_id,
             sinks=sinks,
         )
-        #: per-cell progress hook; mutable (the fleet swaps staged
-        #: hooks in and out around its epoch sweeps)
+        #: per-cell progress hook, called with every ``CellFinished``
         self.progress = progress
+        self.engine.add_sink(self._report)
+
+    def _report(self, event: Event) -> None:
+        if self.progress is not None and isinstance(event, CellFinished):
+            self.progress(event)
 
     # -- the facade surface the experiment families program against ----
     @property
@@ -106,10 +110,7 @@ class SweepRunner:
 
     def run(self, cells: Sequence[Cell], stage: str = "") -> list[Any]:
         """Execute every cell; results come back in cell order."""
-        return self.engine.run(cells, stage=stage, progress=self.progress)
-
-    def run_one(self, cell: Cell) -> Any:
-        return self.run([cell])[0]
+        return self.engine.run(cells, stage=stage)
 
     def __repr__(self) -> str:
         cached = "on" if self.cache is not None else "off"

@@ -423,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
         engine = runner.engine
         if engine.run_dir is not None:
             print(
-                f"\n[engine] interrupted after {engine.stats['ran']} "
+                f"\n[engine] interrupted after {engine.state.ran} "
                 f"cell(s); resume with --run-dir {engine.run_root} "
                 f"--resume {engine.run_dir.run_id}",
                 file=sys.stderr,
@@ -490,14 +490,15 @@ def main(argv: list[str] | None = None) -> int:
     if runner.cache is not None:
         print(f"[cache] {runner.cache.stats.as_line()}", file=sys.stderr)
     engine = runner.engine
-    if engine.stats["sweeps"]:
+    state = engine.state
+    if state.sweeps_finished:
         run_id = (
             engine.run_dir.run_id if engine.run_dir is not None else "-"
         )
         print(
-            f"[engine] sweeps={engine.stats['sweeps']} "
-            f"ran={engine.stats['ran']} hits={engine.stats['hit']} "
-            f"resumed={engine.stats['resumed']} run={run_id}",
+            f"[engine] sweeps={state.sweeps_finished} "
+            f"ran={state.ran} hits={state.hit} "
+            f"resumed={state.resumed} run={run_id}",
             file=sys.stderr,
         )
     if engine.run_dir is not None:

@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.exec.events import read_event_log, validate_events
+from repro.exec.state import read_status
 from repro.ops.profiles import read_journal, render_slowest
-from repro.ops.status import read_status
 
 
 def resolve_run_dir(path: Path) -> Optional[Path]:

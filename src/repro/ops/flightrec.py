@@ -1,28 +1,20 @@
 """The flight recorder: last-N events, dumped when a run dies.
 
-A crashed or interrupted sweep's most valuable evidence is the last
-few hundred events before it stopped — exactly what scrolled off the
-terminal.  :class:`FlightRecorder` is an event sink keeping a bounded
-in-memory :class:`~repro.ops.stream.EventRing`; on trouble it writes
-the ring to ``<run-dir>/flightrec-<stamp>-<n>.jsonl`` (one event JSON
-per line, same shape as ``events.jsonl``) plus a ``.meta.json``
-sidecar carrying the dump reason, the /status document and a metrics
-snapshot at dump time.
+A crashed or interrupted sweep's most valuable evidence is the last few
+hundred events before it stopped.  :class:`FlightRecorder` is an event
+sink over a bounded :class:`~repro.ops.stream.EventRing` — the ops
+plane's ring when it has one, a private ring otherwise.  On trouble it
+writes the ring to ``<run-dir>/flightrec-<stamp>-<n>.jsonl`` (same
+shape as ``events.jsonl``) plus a ``.meta.json`` sidecar: the dump
+reason and, when the recorder knows its engine, the /status document
+and a metrics snapshot of the engine's run state.
 
-Dump triggers:
-
-* an ``Interrupted`` event in the stream (Ctrl-C, worker crash) —
-  automatic, from inside the sink;
-* ``SIGTERM`` — dump, then re-deliver to the previous handler so the
-  process still dies;
-* ``SIGUSR1`` — dump and keep running (an operator's "what is it
-  doing right now?" poke);
-* an unhandled exception, via the CLI wrappers calling :meth:`dump`.
-
-Dumps validate with ``python -m repro.exec.events --ring``: the ring
-may have evicted a sweep's head, which ring mode waives for the first
-segment only (``tests/test_exec_crash_resume.py`` asserts a SIGKILLed
-parent's surviving dump passes).
+Dump triggers: an ``Interrupted`` event (Ctrl-C, worker crash);
+``SIGTERM`` (dump, then re-deliver so the process still dies);
+``SIGUSR1`` (dump and keep running); an unhandled exception, via the
+CLI wrappers calling :meth:`dump`.  Dumps validate with
+``python -m repro.exec.events --ring``: the ring may have evicted a
+sweep's head, which ring mode waives for the first segment only.
 
 Wall-clock note: dump filenames and the ``dumped_unix`` stamp are
 host-side provenance about when the artifact was written; each read
@@ -40,11 +32,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.exec.events import Event, Interrupted
+from repro.ops.metrics import engine_registry
 from repro.ops.stream import DEFAULT_RING_CAPACITY, EventRing
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.ops.status import RunStatus
-    from repro.telemetry.registry import TelemetryRegistry
+    from repro.exec.engine import Engine
 
 #: bumped when the .meta.json sidecar shape changes incompatibly
 FLIGHTREC_SCHEMA = 1
@@ -57,15 +49,17 @@ class FlightRecorder:
         self,
         dir_provider: Callable[[], Path],
         capacity: int = DEFAULT_RING_CAPACITY,
-        status: Optional["RunStatus"] = None,
-        registry: Optional["TelemetryRegistry"] = None,
+        ring: Optional[EventRing] = None,
+        engine: Optional["Engine"] = None,
     ) -> None:
         #: where dumps land, resolved *at dump time* — the run
         #: directory usually attaches after the recorder is installed
         self.dir_provider = dir_provider
-        self.ring = EventRing(capacity)
-        self.status = status
-        self.registry = registry
+        #: a shared ring is filled by its owner (the plane's fan-out,
+        #: which serialises each event once); a private one by us
+        self._owns_ring = ring is None
+        self.ring = EventRing(capacity) if ring is None else ring
+        self.engine = engine
         self.dumps: list[Path] = []
         self._lock = threading.Lock()
         self._dump_seq = 0
@@ -73,7 +67,8 @@ class FlightRecorder:
 
     # ------------------------------------------------------------------
     def __call__(self, event: Event) -> None:
-        self.ring.push(event.to_json())
+        if self._owns_ring:
+            self.ring.push(event.to_json())
         if isinstance(event, Interrupted):
             self.dump(f"interrupted:{event.reason}")
 
@@ -110,10 +105,11 @@ class FlightRecorder:
                 "ring_dropped": self.ring.dropped,
                 "dumped_unix": stamp / 1000.0,
             }
-            if self.status is not None:
-                meta["status"] = self.status.document()
-            if self.registry is not None:
-                meta["metrics"] = self.registry.summary()
+            if self.engine is not None:
+                meta["status"] = self.engine.status.document()
+                meta["metrics"] = engine_registry(
+                    self.engine.state
+                ).summary()
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 with open(path, "w", encoding="utf-8") as handle:

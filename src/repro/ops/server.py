@@ -1,29 +1,21 @@
 """The in-process HTTP ops plane: /metrics, /status, /events.
 
 Opt-in, stdlib-only observation of a running
-:class:`~repro.exec.engine.Engine`.  ``--serve [host:]port`` (or
+:class:`~repro.exec.engine.Engine`: ``--serve [host:]port`` (or
 ``REPRO_SERVE``) starts a :class:`ThreadingHTTPServer` on a daemon
-thread next to the run:
+thread next to the run.  ``GET /metrics`` renders the engine's run
+state as Prometheus text 0.0.4 (:mod:`repro.ops.metrics`); ``GET
+/status`` renders it as the ``engine.status`` JSON document (the
+content of ``<run-dir>/status.json``); ``GET /events`` is a live
+chunked JSONL tail — ring replay, then events as they happen
+(``?replay=N`` bounds the replay, ``?limit=N`` closes the stream after
+N lines); ``GET /healthz`` and ``GET /`` are liveness and an index.
 
-* ``GET /metrics`` — Prometheus text 0.0.4 from the
-  :class:`~repro.ops.metrics.EngineMetricsSink` fold;
-* ``GET /status`` — the :class:`~repro.ops.status.RunStatus` JSON
-  document (same content as ``<run-dir>/status.json``);
-* ``GET /events`` — a live chunked JSONL tail: ring replay first,
-  then events as they happen (``?replay=N`` bounds the replay,
-  ``?limit=N`` closes the stream after N lines);
-* ``GET /healthz`` and ``GET /`` — liveness and a plain-text index.
-
-Read-only by construction: handlers serve snapshots of folds the
-:class:`OpsPlane` already maintains; nothing routes back into the
-engine, and a slow or dead client costs the engine nothing (the
-subscription drops, the handler thread dies).  The serial ≡ parallel ≡
-cached fold equivalence holds verbatim with the server on — pinned by
-``tests/test_ops_plane.py::test_serve_preserves_fold_bytes``.
-
-Wall-clock/env note: the ``REPRO_SERVE`` read and the server's socket
-machinery are host-side plumbing; the single environment read carries
-a simlint waiver naming that pinning test.
+Read-only by construction: nothing routes back into the engine, and a
+slow or dead client costs the engine nothing (the subscription drops,
+the handler thread dies).  Folds stay byte-identical with the server
+on — pinned by ``tests/test_ops_plane.py::test_serve_preserves_fold_bytes``,
+which the one ``REPRO_SERVE`` environment read's simlint waiver names.
 """
 
 from __future__ import annotations
@@ -37,8 +29,9 @@ from typing import TYPE_CHECKING, Any, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro.ops.flightrec import FlightRecorder
-from repro.ops.metrics import EngineMetricsSink
+from repro.ops.metrics import engine_registry
 from repro.ops.stream import EventRing, FanOutSink
+from repro.telemetry.exposition import prometheus_text
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.exec.engine import Engine
@@ -82,19 +75,10 @@ def resolve_serve_spec(
     return parse_serve_spec(env) if env else None
 
 
-class OpsHTTPServer(ThreadingHTTPServer):
-    """Threading server with a back-pointer to its ops plane."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-
-    plane: "OpsPlane"
-
-
 class _OpsHandler(BaseHTTPRequestHandler):
     """Request routing for the ops endpoints (GET-only)."""
 
-    server: OpsHTTPServer
+    server: "OpsServer"
     protocol_version = "HTTP/1.1"
 
     # ------------------------------------------------------------------
@@ -115,14 +99,16 @@ class _OpsHandler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         parsed = urlsplit(self.path)
         route = parsed.path.rstrip("/") or "/"
+        engine = self.server.plane.engine
         try:
             if route == "/metrics":
+                registry = engine_registry(engine.state, engine.worker_health)
                 self._send_text(
-                    self.server.plane.metrics.render(),
+                    prometheus_text(registry),
                     "text/plain; version=0.0.4; charset=utf-8",
                 )
             elif route == "/status":
-                doc = self.server.plane.status.document()
+                doc = engine.status.document()
                 self._send_text(
                     json.dumps(doc, indent=2, sort_keys=True) + "\n",
                     "application/json",
@@ -219,16 +205,18 @@ class _OpsHandler(BaseHTTPRequestHandler):
         self.wfile.flush()
 
 
-class OpsServer:
+class OpsServer(ThreadingHTTPServer):
     """The HTTP listener on a daemon thread; ``port=0`` picks a port."""
 
+    daemon_threads = True
+    allow_reuse_address = True
+
     def __init__(self, plane: "OpsPlane", host: str, port: int) -> None:
+        super().__init__((host, port), _OpsHandler)
         self.plane = plane
-        self._server = OpsHTTPServer((host, port), _OpsHandler)
-        self._server.plane = plane
-        self.host, self.port = self._server.server_address[:2]
+        self.host, self.port = self.server_address[:2]
         self._thread = threading.Thread(
-            target=self._server.serve_forever,
+            target=self.serve_forever,
             name="repro-ops-http",
             daemon=True,
         )
@@ -239,40 +227,28 @@ class OpsServer:
         return f"http://{self.host}:{self.port}"
 
     def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        self.shutdown()
+        self.server_close()
         self._thread.join(timeout=5.0)
 
 
 class OpsPlane:
-    """Everything observing one engine: folds, ring, recorder, server.
+    """Everything observing one engine: ring, recorder, server.
 
     Construction wires one :class:`~repro.ops.stream.FanOutSink` into
-    the engine; the HTTP server is optional (:meth:`serve`).  A plane
-    without a server still earns its keep: the flight recorder and
-    status.json work headless.
+    the engine, filling the one event ring that ``/events`` replays and
+    the flight recorder dumps; the HTTP server is optional
+    (:meth:`serve`).  A plane without a server still earns its keep:
+    the flight recorder works headless.
     """
 
-    def __init__(
-        self,
-        engine: "Engine",
-        ring_capacity: Optional[int] = None,
-    ) -> None:
+    def __init__(self, engine: "Engine") -> None:
         self.engine = engine
-        self.status = engine.status
-        self.metrics = EngineMetricsSink(health=engine.worker_health)
-        kwargs = {} if ring_capacity is None else {
-            "capacity": ring_capacity
-        }
-        self.ring = EventRing(**kwargs)
+        self.ring = EventRing()
         self.recorder = FlightRecorder(
-            dir_provider=self._dump_dir,
-            status=self.status,
-            registry=self.metrics.registry,
+            dir_provider=self._dump_dir, ring=self.ring, engine=engine
         )
-        self.fanout = FanOutSink(
-            wrapped=[self.metrics, self.recorder], ring=self.ring
-        )
+        self.fanout = FanOutSink(wrapped=[self.recorder], ring=self.ring)
         engine.add_sink(self.fanout)
         self.server: Optional[OpsServer] = None
         self.closing = threading.Event()
@@ -317,7 +293,6 @@ def attach_ops(
 __all__ = [
     "DEFAULT_HOST",
     "ENV_SERVE",
-    "OpsHTTPServer",
     "OpsPlane",
     "OpsServer",
     "attach_ops",

@@ -1,25 +1,17 @@
 """Event fan-out: a ring buffer plus bounded live subscriptions.
 
 The ops plane observes a running :class:`~repro.exec.engine.Engine`
-through one extra sink — :class:`FanOutSink` — which does three things
-per event, all O(1):
-
-* forward to the sinks it wraps (metrics fold, flight recorder);
-* push the event's JSON form into an :class:`EventRing` (the bounded
-  memory of "what just happened" that ``/events`` replays and the
-  flight recorder dumps);
-* offer the JSON form to every live :class:`Subscription` (an
-  ``/events`` streaming client).
+through one sink, :class:`FanOutSink`, which serialises each event once
+and, in O(1), pushes it into the :class:`EventRing` (the bounded memory
+of "what just happened" that ``/events`` replays and the flight
+recorder dumps), offers it to every live :class:`Subscription` (an
+``/events`` client), then hands the typed event to the sinks it wraps —
+after the ring holds it, so a dump triggered by this event includes it.
 
 Back-pressure contract (DESIGN.md §16): a subscription is a *bounded*
-``queue.Queue``; when a slow reader falls behind, :meth:`Subscription.
-offer` drops the event and counts it rather than blocking the engine.
-The engine's hot path never waits on a network peer — observation can
-lose events, execution cannot lose time.
-
-Nothing here reads a clock or the environment; timing enters only via
-the event payloads the engine already produced, so the ops plane stays
-out of the determinism argument entirely (pinned by
+queue; a slow reader drops events (counted) rather than blocking the
+engine — observation can lose events, execution cannot lose time.
+Nothing here reads a clock or the environment (pinned by
 ``tests/test_ops_plane.py::test_serve_preserves_fold_bytes``).
 """
 
@@ -109,12 +101,7 @@ class Subscription:
 
 
 class FanOutSink:
-    """One engine sink feeding wrapped sinks, the ring and subscribers.
-
-    Serialisation (``event.to_json()``) happens once per event; the
-    wrapped sinks still receive the typed event, so existing sinks
-    (metrics fold, flight recorder) plug in unchanged.
-    """
+    """One engine sink feeding the ring, subscribers and wrapped sinks."""
 
     def __init__(
         self,
@@ -127,8 +114,6 @@ class FanOutSink:
         self._subscribers: list[Subscription] = []
 
     def __call__(self, event: Event) -> None:
-        for sink in self.wrapped:
-            sink(event)
         doc = event.to_json()
         if self.ring is not None:
             self.ring.push(doc)
@@ -136,6 +121,8 @@ class FanOutSink:
             subscribers = list(self._subscribers)
         for subscription in subscribers:
             subscription.offer(doc)
+        for sink in self.wrapped:
+            sink(event)
 
     # ------------------------------------------------------------------
     def subscribe(
@@ -163,10 +150,6 @@ class FanOutSink:
             self._subscribers.clear()
         for subscription in subscribers:
             subscription.close()
-        for sink in self.wrapped:
-            closer = getattr(sink, "close", None)
-            if callable(closer):
-                closer()
 
 
 __all__ = [

@@ -175,7 +175,7 @@ def test_worker_crash_dumps_a_valid_flight_record(tmp_path):
     """A worker SIGKILLed mid-sweep (pool crash, parent survives) must
     leave a flight-recorder dump that the ring-mode validator accepts,
     tagged with the crash reason."""
-    from repro.ops import read_status
+    from repro.exec import read_status
 
     run_root = tmp_path / "runs"
     fold = tmp_path / "fold.pkl"
@@ -207,7 +207,7 @@ def test_status_json_consistent_with_journal(tmp_path, uninterrupted):
     """status.json (rewritten on every checkpoint) never claims more
     progress than the journal holds — after a SIGKILL and again after
     the clean resume."""
-    from repro.ops import read_status
+    from repro.exec import read_status
 
     kill_after = KILL_POINTS[0]
     run_root = tmp_path / "runs"

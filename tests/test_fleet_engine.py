@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from repro.exec import SweepRunner, fingerprint
-from repro.exec.progress import CellReport
+from repro.exec.events import CellFinished
 from repro.fleet import (
     DiurnalStory,
     FleetSimulation,
@@ -133,7 +133,7 @@ class TestRunShape:
 
 class TestStagedProgress:
     def test_cells_report_with_epoch_stage(self):
-        reports: list[CellReport] = []
+        reports: list[CellFinished] = []
         runner = SweepRunner(jobs=1, progress=reports.append)
         _run(runner=runner)
         assert reports, "no progress reports seen"

@@ -35,7 +35,7 @@ from repro.ops import (
     resolve_serve_spec,
     slowest_cells,
 )
-from repro.ops.status import read_status
+from repro.exec.state import read_status
 
 from tests.engine_cells import make_cells, make_suicide_cells
 
