@@ -452,11 +452,11 @@ def normalize_events(
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """``python -m repro.exec.events LOG [--partial] [--ring]``."""
+    """``python -m repro.exec LOG [--partial] [--ring]``."""
     import argparse
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro.exec.events",
+        prog="python -m repro.exec",
         description="validate an engine event log (events.jsonl)",
     )
     parser.add_argument("log", type=Path)
@@ -505,7 +505,8 @@ __all__ = [
     "validate_events",
 ]
 
-if __name__ == "__main__":  # pragma: no cover - exercised via CI smoke
+if __name__ == "__main__":  # pragma: no cover - the old CLI spelling
     import sys
 
-    sys.exit(main())
+    print("the event-log validator is `python -m repro.exec LOG`", file=sys.stderr)
+    sys.exit(2)

@@ -69,8 +69,9 @@ class RunState:
     hit: int = 0
     resumed: int = 0
     #: cumulative journalled cells, from the last ``CheckpointWritten``
+    #: or, before this run's first one, the cells resumed from the journal
     checkpointed: int = 0
-    #: finished cells not yet journalled, as of that checkpoint
+    #: finished cells not yet journalled, as of that count
     checkpoint_lag: int = 0
     sweeps_finished: int = 0
     #: reason of the current sweep's interruption (cleared by a new plan)
@@ -144,6 +145,15 @@ def fold(
                 utime_s=state.utime_s + event.utime_s,
                 stime_s=state.stime_s + event.stime_s,
                 max_rss_kb=max(state.max_rss_kb, event.max_rss_kb),
+            )
+        elif outcome == "resumed" and state.resumed >= state.checkpointed:
+            # an earlier run journalled every resumed cell, and
+            # CheckpointWritten.completed counts them: before this run's
+            # first checkpoint the journal holds at least these cells
+            checkpointed = state.resumed + 1
+            changes.update(
+                checkpointed=checkpointed,
+                checkpoint_lag=max(0, state.done + 1 - checkpointed),
             )
     elif isinstance(event, CheckpointWritten):
         changes.update(

@@ -113,10 +113,6 @@ class SharedCache:
     def total_occupancy(self) -> float:
         return self._total
 
-    @property
-    def free_bytes(self) -> float:
-        return max(0.0, self.capacity_bytes - self._total)
-
     def actors(self) -> list[Hashable]:
         return list(self._occupancy)
 
@@ -139,50 +135,83 @@ class SharedCache:
         itself) keep evicting others at a reduced pressure without
         growing the actor, which is how an LLCO stream keeps the whole
         socket's cache churned.
+
+        This and :meth:`_evict_from_others` are the simulator's hottest
+        code, so ``min(a, b)`` is spelled ``b if b < a else a`` and
+        ``max(a, b)`` ``b if b > a else a``: the same operand wins on
+        ties, so every float is bit-identical to the ``min``/``max``
+        formulation (DESIGN.md §9).
         """
         if nbytes <= 0:
             return
-        target = min(float(wss_bytes), self.capacity_bytes)
-        occupancy = self._occupancy.get(actor, 0.0)
-        grow = min(nbytes, max(0.0, target - occupancy))
-        churn = max(0.0, nbytes - grow)
+        capacity = self.capacity_bytes
+        occupancies = self._occupancy
+        target = float(wss_bytes)
+        if capacity < target:
+            target = capacity
+        occupancy = occupancies.get(actor, 0.0)
+        room = target - occupancy
+        if not room > 0.0:
+            room = 0.0
+        grow = room if room < nbytes else nbytes
+        churn = nbytes - grow
         if grow > 0:
-            from_free = min(grow, self.free_bytes)
-            need = grow - from_free
+            free = capacity - self._total
+            if not free > 0.0:
+                free = 0.0
+            need = grow - (free if free < grow else grow)
             if need > 0:
                 self._evict_from_others(actor, need)
-            self._occupancy[actor] = occupancy + grow
+            occupancy = occupancy + grow
+            occupancies[actor] = occupancy
             self._total += grow
         if churn > 0:
             # A working set larger than the cache re-fetches its own
             # lines; a fraction of those fills still displace other
-            # actors' lines (set-conflict pressure).
-            others = self._total - self._occupancy.get(actor, 0.0)
+            # actors' lines (set-conflict pressure).  The displaced space
+            # is re-used by the churning actor only up to its target;
+            # otherwise it stays free until someone misses.
+            others = self._total - occupancy
             if others > 0:
-                pressure = min(others, churn * (others / self.capacity_bytes))
-                evicted = self._evict_from_others(actor, pressure)
-                # The displaced space is immediately re-used by the
-                # churning actor only up to its target; otherwise it
-                # stays free until someone misses.
-                del evicted
+                pressure = churn * (others / capacity)
+                self._evict_from_others(
+                    actor, pressure if pressure < others else others
+                )
 
     def _evict_from_others(self, actor: Hashable, amount: float) -> float:
-        """Evict up to ``amount`` bytes from everyone but ``actor``."""
-        victims = [(a, occ) for a, occ in self._occupancy.items() if a is not actor]
-        others_total = sum(occ for _, occ in victims)
+        """Evict up to ``amount`` bytes from everyone but ``actor``.
+
+        Each victim loses its share of ``amount`` in proportion to its
+        occupancy; one left below ``_EPSILON_BYTES`` is dropped.
+        ``actor`` is excluded by identity.  ``others_total`` stays a
+        ``sum()`` over the victims in table order: ``sum`` of floats is
+        compensated from Python 3.12, so a hand-written loop would round
+        differently there.
+        """
+        occupancies = self._occupancy
+        victims = list(occupancies)
+        sizes = list(occupancies.values())
+        if actor in occupancies:
+            index = victims.index(actor)
+            if victims[index] is actor:
+                del victims[index]
+                del sizes[index]
+        others_total = sum(sizes)
         if others_total <= 0:
             return 0.0
-        amount = min(amount, others_total)
-        for victim, occ in victims:
-            share = occ / others_total
-            taken = amount * share
+        if others_total < amount:
+            amount = others_total
+        total = self._total
+        for victim, occ in zip(victims, sizes):
+            taken = amount * (occ / others_total)
             remaining = occ - taken
             if remaining < _EPSILON_BYTES:
-                self._total -= occ
-                del self._occupancy[victim]
+                total -= occ
+                del occupancies[victim]
             else:
-                self._total -= taken
-                self._occupancy[victim] = remaining
+                total -= taken
+                occupancies[victim] = remaining
+        self._total = total
         return amount
 
     def evict_actor(self, actor: Hashable) -> float:
@@ -206,13 +235,6 @@ class SharedCache:
 # ----------------------------------------------------------------------
 # segment integration
 # ----------------------------------------------------------------------
-def _per_instruction_ns(
-    profile: MemoryProfile, p_hit: float, hit_ns: float, miss_ns: float
-) -> float:
-    stall = profile.llc_ref_rate * (p_hit * hit_ns + (1.0 - p_hit) * miss_ns)
-    return profile.base_cpi_ns + stall
-
-
 def integrate_duration(
     cache: SharedCache,
     actor: Hashable,
@@ -230,11 +252,13 @@ def integrate_duration(
     at the warmed speed.
 
     This is the hottest arithmetic in the whole simulator (it runs at
-    every segment boundary), so the bodies of :meth:`SharedCache.
-    hit_probability` and :func:`_per_instruction_ns` are inlined below.
-    The float operations and their order are kept exactly identical to
-    those helpers — the golden-shape tests require bit-for-bit equal
-    results.
+    every segment boundary), so the body of :meth:`SharedCache.
+    hit_probability` and the per-instruction cost are inlined below, with
+    ``min`` spelled as a comparison that keeps the same operand on ties.
+    The float operations and their order are exactly those of the plain
+    formulation — the golden-shape tests require bit-for-bit equal
+    results.  Every substep that misses fills through ``cache.insert``
+    (looked up on the class, where the per-layer tracer counts it).
     """
     result = SegmentResult()
     if duration_ns <= 0:
@@ -247,6 +271,7 @@ def integrate_duration(
     line_bytes = cache.line_bytes
     occupancy = cache._occupancy
     insert = cache.insert
+    wss_bytes = float(wss)
     instructions_total = 0.0
     refs_total = 0.0
     misses_total = 0.0
@@ -255,14 +280,15 @@ def integrate_duration(
         if wss <= 0:
             p_hit = 1.0
         else:
-            fraction = min(1.0, occupancy.get(actor, 0.0) / float(wss))
+            fraction = occupancy.get(actor, 0.0) / wss_bytes
+            if not fraction < 1.0:
+                fraction = 1.0
             p_hit = fraction ** exponent
-        per_instr = base_cpi + ref_rate * (
-            p_hit * hit_ns + (1.0 - p_hit) * miss_ns
-        )
+        p_miss = 1.0 - p_hit
+        per_instr = base_cpi + ref_rate * (p_hit * hit_ns + p_miss * miss_ns)
         instructions = dt / per_instr
         refs = instructions * ref_rate
-        misses = refs * (1.0 - p_hit)
+        misses = refs * p_miss
         if misses > 0.0:
             insert(actor, misses * line_bytes, wss)
         instructions_total += instructions
@@ -273,53 +299,6 @@ def integrate_duration(
     result.llc_refs = refs_total
     result.llc_misses = misses_total
     result.elapsed_ns = elapsed_total
-    return result
-
-
-def integrate_instructions(
-    cache: SharedCache,
-    actor: Hashable,
-    profile: MemoryProfile,
-    instructions: float,
-    hit_ns: float,
-    miss_ns: float,
-    substeps: int = 8,
-) -> SegmentResult:
-    """Advance ``actor`` by an instruction budget, returning time spent.
-
-    Used to *estimate* when a compute burst will finish so a completion
-    event can be scheduled; the authoritative accounting still happens
-    via :func:`integrate_duration` at segment boundaries.
-    """
-    result = SegmentResult()
-    if instructions <= 0:
-        return result
-    chunk = instructions / substeps
-    wss = profile.wss_bytes
-    ref_rate = profile.llc_ref_rate
-    base_cpi = profile.base_cpi_ns
-    exponent = cache.reuse_exponent
-    line_bytes = cache.line_bytes
-    occupancy = cache._occupancy
-    insert = cache.insert
-    for _ in range(substeps):
-        # same inlined hit/cost math as integrate_duration (see there)
-        if wss <= 0:
-            p_hit = 1.0
-        else:
-            fraction = min(1.0, occupancy.get(actor, 0.0) / float(wss))
-            p_hit = fraction ** exponent
-        per_instr = base_cpi + ref_rate * (
-            p_hit * hit_ns + (1.0 - p_hit) * miss_ns
-        )
-        refs = chunk * ref_rate
-        misses = refs * (1.0 - p_hit)
-        if misses > 0.0:
-            insert(actor, misses * line_bytes, wss)
-        result.instructions += chunk
-        result.llc_refs += refs
-        result.llc_misses += misses
-        result.elapsed_ns += chunk * per_instr
     return result
 
 
@@ -341,7 +320,9 @@ def estimate_duration_ns(
     if wss <= 0:
         p_hit = 1.0
     else:
-        fraction = min(1.0, cache._occupancy.get(actor, 0.0) / float(wss))
+        fraction = cache._occupancy.get(actor, 0.0) / float(wss)
+        if not fraction < 1.0:
+            fraction = 1.0
         p_hit = fraction ** cache.reuse_exponent
     return instructions * (
         profile.base_cpi_ns
@@ -354,6 +335,5 @@ __all__ = [
     "SegmentResult",
     "SharedCache",
     "integrate_duration",
-    "integrate_instructions",
     "estimate_duration_ns",
 ]

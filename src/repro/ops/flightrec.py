@@ -13,7 +13,7 @@ Dump triggers: an ``Interrupted`` event (Ctrl-C, worker crash);
 ``SIGTERM`` (dump, then re-deliver so the process still dies);
 ``SIGUSR1`` (dump and keep running); an unhandled exception, via the
 CLI wrappers calling :meth:`dump`.  Dumps validate with
-``python -m repro.exec.events --ring``: the ring may have evicted a
+``python -m repro.exec --ring``: the ring may have evicted a
 sweep's head, which ring mode waives for the first segment only.
 
 Wall-clock note: dump filenames and the ``dumped_unix`` stamp are

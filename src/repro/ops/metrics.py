@@ -101,7 +101,7 @@ def engine_registry(
         counter("engine_cell_utime_seconds", state.utime_s)
         counter("engine_cell_stime_seconds", state.stime_s)
         gauge("engine_cell_max_rss_kb", state.max_rss_kb)
-    if state.events.get("checkpoint_written"):
+    if state.checkpointed:
         gauge("engine_checkpointed", state.checkpointed)
         gauge("engine_fold_lag", state.checkpoint_lag)
     for reason, count in state.interrupts.items():

@@ -7,10 +7,13 @@ Satellites of the engine work:
   its stable field order — ``pytest --update-golden`` rewrites it;
 * unit tests for :func:`repro.exec.events.validate_events`, the same
   helper the CI ``engine-smoke`` job runs via
-  ``python -m repro.exec.events``.
+  ``python -m repro.exec``.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,7 +33,8 @@ from repro.exec.events import (
 )
 from tests.engine_cells import make_cells
 
-GOLDEN = Path(__file__).parent / "golden" / "engine_events.jsonl"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = REPO_ROOT / "tests" / "golden" / "engine_events.jsonl"
 
 #: serialisation identical to JsonlSink's, so the golden pins the
 #: exact on-disk byte shape (field order included)
@@ -261,6 +265,17 @@ class TestLogIo:
         assert events_main([str(broken)]) == 1
         out = capsys.readouterr().out
         assert "INVALID" in out
+
+    def test_module_cli_runs_without_a_runpy_warning(self):
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.exec",
+             str(GOLDEN)],
+            cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert "25 events" in done.stdout
 
     def test_normalize_strips_noise_only(self):
         records = [{

@@ -6,7 +6,8 @@
 * folding a run directory's ``events.jsonl`` offline gives the state
   the live engine held, wall stamps aside — for finished runs (a
   Hypothesis property) and for SIGKILLed ones;
-* an interrupted sweep reports the cells it really ran and journalled;
+* an interrupted sweep reports the cells it really ran and journalled,
+  and a resumed one counts its resumed cells as journalled;
 * ``repro.exec`` runs a checkpointed sweep without loading the ops
   plane.
 """
@@ -32,6 +33,7 @@ from repro.exec import (
     fold,
     fold_records,
     read_event_log,
+    read_status,
     status_document,
 )
 from repro.exec.checkpoint import CheckpointJournal
@@ -246,6 +248,28 @@ class TestOfflineFold:
         state = fold_records(read_event_log(run_dir / "events.jsonl"))
         assert state.checkpointed == _journal_cells(run_root) == 3
         assert state.sweeps_finished == 0
+
+
+# ----------------------------------------------------------------------
+# resumed cells are journalled cells
+# ----------------------------------------------------------------------
+def test_a_resumed_run_counts_its_cells_as_checkpointed(tmp_path):
+    run_root = tmp_path / "runs"
+    for _ in range(2):
+        engine = Engine(jobs=1, run_root=run_root)
+        engine.run(make_cells(4))
+        engine.close()
+    assert engine.state.resumed == 4
+    assert engine.state.events.get("checkpoint_written") is None
+    status = read_status(engine.run_dir.path / "status.json")
+    assert status["cells"]["checkpointed"] == 4 == _journal_cells(run_root)
+    assert status["cells"]["fold_lag"] == 0
+    metrics = prometheus_text(engine_registry(engine.state)).splitlines()
+    assert "repro_engine_checkpointed 4.0" in metrics
+    assert "repro_engine_fold_lag 0.0" in metrics
+    # the run directory's log spans both runs and folds to the journal
+    offline = fold_records(read_event_log(engine.run_dir.events_path))
+    assert offline.checkpointed == 4
 
 
 # ----------------------------------------------------------------------

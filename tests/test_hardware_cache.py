@@ -11,7 +11,6 @@ from repro.hardware.cache import (
     SharedCache,
     estimate_duration_ns,
     integrate_duration,
-    integrate_instructions,
 )
 
 MB = 1024 * 1024
@@ -156,16 +155,6 @@ class TestIntegration:
             cache, "a", MemoryProfile(), 0.0, 12.0, 80.0
         )
         assert seg.instructions == 0.0
-
-    def test_instruction_driven_matches_duration_driven(self):
-        """Running N instructions takes the time the estimate predicts,
-        within sub-step discretisation error."""
-        profile = MemoryProfile(wss_bytes=2 * MB, llc_ref_rate=0.02)
-        c1 = make_cache()
-        seg = integrate_instructions(c1, "a", profile, 1e7, 12.0, 80.0)
-        c2 = make_cache()
-        seg2 = integrate_duration(c2, "a", profile, seg.elapsed_ns, 12.0, 80.0)
-        assert seg2.instructions == pytest.approx(1e7, rel=0.05)
 
     def test_estimate_is_nonmutating(self):
         cache = make_cache()
